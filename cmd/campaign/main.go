@@ -22,40 +22,44 @@
 //	campaign run  -c fig5a -quick -shard 1/2 -o b.jsonl   # run the other
 //	campaign merge a.jsonl b.jsonl                     # assemble figures
 //
-// Distributed mode replaces manual sharding with a coordinator that
-// leases shards to worker daemons over HTTP (internal/cluster):
+// Distributed mode replaces manual sharding with a control plane that
+// leases shards to worker daemons over HTTP (internal/service, with the
+// workers of internal/cluster). Every endpoint requires the bearer
+// token in $CAMPAIGN_TOKEN:
 //
-//	campaign serve -c fig5a -quick -addr :9090 -o fig5a.jsonl   # coordinator
+//	export CAMPAIGN_TOKEN=...
+//	campaign serve -c fig5a -quick -addr :9090 -o fig5a.jsonl   # control plane
 //	campaign work  -coordinator http://host:9090 -checkpoint wrk/
 //
-// Workers are spec-free: the coordinator ships its canonical spec at
-// registration and each worker builds the campaign from those bytes, so
-// a worker cannot be misconfigured. The merged output is byte-identical
-// to a single-process run however many workers ran (and died) along the
+// serve is a campaign service with one admitted run: its results flow
+// into -o, and the figures print when it completes. Workers are
+// spec-free: each lease grant carries the run's canonical spec and the
+// worker builds the campaign from those bytes, so a worker cannot be
+// misconfigured. The merged output is byte-identical to a
+// single-process run however many workers ran (and died) along the
 // way.
 //
-// `serve -state <dir>` makes the coordinator itself durable: it
-// journals its shard table, leases and every accepted result to an
-// append-only WAL in the state dir, so a serve killed mid-campaign and
-// restarted with the same flags resumes the run — surviving workers
-// re-register on their own and continue from their local checkpoints.
-// `serve -balance <timing-source>` (and `plan -balance`) sizes shards
-// by predicted wall-clock from a prior run's recorded per-trial timing
-// instead of by trial count, so slow keys no longer serialize the
-// fleet behind one overloaded shard.
+// `serve -state <dir>` makes the run durable: the service journals its
+// shard table, leases and every accepted result to a per-run WAL under
+// <dir>/runs/, so a serve killed mid-campaign and restarted with the
+// same flags attaches to the journaled run and resumes it — surviving
+// workers re-register on their own and continue from their local
+// checkpoints. `serve -balance <timing-source>` (and `plan -balance`)
+// sizes shards by predicted wall-clock from a prior run's recorded
+// per-trial timing instead of by trial count, so slow keys no longer
+// serialize the fleet behind one overloaded shard.
 //
 // Where serve runs ONE campaign and exits, `campaign service` is the
-// long-lived multi-tenant form (internal/service): a persistent
+// long-lived multi-tenant form of the same control plane: a persistent
 // catalog that accepts specs over HTTP, schedules every admitted run
 // across one shared worker fleet with priority + fair-share, and
 // survives its own restart. `campaign submit`, `campaign runs` and
 // `campaign drain` are its clients:
 //
-//	campaign service -addr :9191 -state svc/ -token $TOK     # the service
-//	campaign work -coordinator http://host:9191 -token $TOK  # shared fleet
-//	RUN=$(campaign submit -service http://host:9191 -token $TOK \
-//	          -c selftest -trials 200 -name nightly)
-//	campaign runs -service http://host:9191 -token $TOK -id $RUN -watch -o out.jsonl
+//	campaign service -addr :9191 -state svc/                  # the service
+//	campaign work -coordinator http://host:9191               # shared fleet
+//	RUN=$(campaign submit -service http://host:9191 -c selftest -trials 200 -name nightly)
+//	campaign runs -service http://host:9191 -id $RUN -watch -o out.jsonl
 //
 // A run appends each completed trial to its JSONL checkpoint (-o) and
 // resumes from it after an interruption, skipping completed trial IDs;
@@ -71,7 +75,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"syscall"
@@ -135,10 +138,11 @@ func usage() {
                                             JSONL checkpointing and resume
   serve -c <kind> -addr <host:port> [-shards N] [-lease-ttl D] [-o file]
         [-state dir] [-balance src] [-tls-cert crt -tls-key key] [config flags]
-                                            coordinate ONE campaign across HTTP workers,
+                                            serve ONE campaign to HTTP workers (a
+                                            campaign service with one admitted run),
                                             then print the figures/report; -state makes
-                                            the coordinator survive its own restart,
-                                            -balance sizes shards by recorded timing
+                                            the run survive a restart, -balance sizes
+                                            shards by recorded timing
   service -addr <host:port> -state <dir> -token <tok> [-shards N] [-lease-ttl D]
           [-retain N] [-tls-cert crt -tls-key key]
                                             long-lived multi-tenant coordinator: accepts
@@ -154,15 +158,16 @@ func usage() {
                                             gracefully retire workers (finish shard, exit)
   work  -coordinator <url> [-token tok] [-checkpoint dir] [-cache dir] [-tls-ca pem]
                                             spec-free worker daemon: campaign specs
-                                            arrive from the coordinator or service
-                                            (https:// coordinators verify via -tls-ca)
+                                            arrive in lease grants (https:// control
+                                            planes verify via -tls-ca)
   merge [-cache dir] [-json file] [-o file] <file>...
                                             merge shard/checkpoint files and print the
                                             figures or report (plus a timing summary)
 
 plan, run, serve and submit also accept -spec <file> (a spec replaces the
 config flags; "-" reads stdin) and -dump-spec (print the compiled spec and
-exit). -token flags fall back to the CAMPAIGN_TOKEN environment variable.
+exit). serve takes its bearer token from the CAMPAIGN_TOKEN environment
+variable; -token flags fall back to it.
 
 campaign kinds: %s
 `, strings.Join(spec.Kinds(), " "))
@@ -428,7 +433,7 @@ func planCmd(args []string) error {
 	var c config
 	var (
 		balance = fs.String("balance", "", "plan load-aware shards from this timing source (a checkpoint, WAL, or state dir)")
-		shards  = fs.Int("shards", 0, "with -balance: print the shard table for this many shards (0 = coordinator default)")
+		shards  = fs.Int("shards", 0, "with -balance: print the shard table for this many shards (0 = serve's default)")
 	)
 	addConfigFlags(fs, &c)
 	fs.Parse(args)
@@ -459,14 +464,14 @@ func planCmd(args []string) error {
 	return nil
 }
 
-// printShardPlan renders the shard table a coordinator would serve —
-// the dry-run view of -shards / -balance.
+// printShardPlan renders the shard table serve would plan — the
+// dry-run view of -shards / -balance.
 func printShardPlan(s *spec.Spec, trials []campaign.Trial, name string, shards int) error {
 	planner, err := campaign.PlannerByName(name)
 	if err != nil {
 		return err
 	}
-	planned, err := planner.Plan(trials, campaign.ResolveShards(shards, cluster.DefaultShards, len(trials)))
+	planned, err := planner.Plan(trials, campaign.ResolveShards(shards, service.DefaultShards, len(trials)))
 	if err != nil {
 		return err
 	}
@@ -557,11 +562,11 @@ func serveCmd(args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
 	var c config
 	var (
-		addr     = fs.String("addr", ":9090", "coordinator listen address")
+		addr     = fs.String("addr", ":9090", "listen address")
 		shards   = fs.Int("shards", 0, "shard count (0 = auto; more shards = finer reassignment)")
 		leaseTTL = fs.Duration("lease-ttl", 0, "shard lease deadline without a heartbeat (0 = default)")
 		out      = fs.String("o", "", "checkpoint/output JSONL (default <kind>-cluster.jsonl); resumes")
-		state    = fs.String("state", "", "state directory for the coordinator WAL: journal shard table, leases and results; a restarted serve with the same -state resumes the run")
+		state    = fs.String("state", "", "state directory journaling the run's shard table, leases and results; a restarted serve with the same -state resumes the run")
 		balance  = fs.String("balance", "", "size shards by predicted wall-clock from this timing source (a checkpoint, WAL, or state dir of a prior run)")
 		tlsCert  = fs.String("tls-cert", "", "serve HTTPS with this PEM certificate (requires -tls-key)")
 		tlsKey   = fs.String("tls-key", "", "PEM private key for -tls-cert")
@@ -578,50 +583,23 @@ func serveCmd(args []string) error {
 	if *out == "" {
 		*out = s.Kind + "-cluster.jsonl"
 	}
-	// Fail fast on a misconfigured -state: resolve it to an absolute
-	// path and prove it writable NOW, not at the first journal append
-	// mid-campaign.
-	if *state != "" {
-		abs, err := ensureStateDir(*state)
-		if err != nil {
-			return err
-		}
-		*state = abs
-	}
-	pn := plannerName(s, *balance)
 	ctx, stop := sigCtx()
 	defer stop()
-	co := cluster.NewCoordinator(cluster.CoordinatorConfig{
-		Addr: *addr, Spec: s, Shards: *shards, LeaseTTL: *leaseTTL,
-		PlannerName: pn, StateDir: *state, Log: os.Stderr,
-		TLSCert: *tlsCert, TLSKey: *tlsKey,
-	})
-	// One startup line with everything an operator needs to point
-	// workers (and debug a wrong flag): the RESOLVED listen address —
-	// ":0" is useless in a log — plus state dir and planner.
-	go func() {
-		<-co.Ready()
-		stateDesc := *state
-		if stateDesc == "" {
-			stateDesc = "none (in-memory; a restart loses leases and results)"
-		}
-		planDesc := pn
-		if planDesc == "" {
-			planDesc = "uniform"
-		}
-		fmt.Fprintf(os.Stderr, "serve: listening on %s (state %s, planner %s, spec %s)\n",
-			co.URL(), stateDesc, planDesc, fingerprintOf(s))
-	}()
-	opt := campaign.Options{Context: ctx, Runner: co, Checkpoint: *out, Log: os.Stderr}
-	rr, err := campaign.Run(built.Campaign, opt)
+	rn, err := service.NewRunner(service.Config{
+		Addr: *addr, StateDir: *state, Token: resolveToken(""), Shards: *shards, LeaseTTL: *leaseTTL,
+		TLSCert: *tlsCert, TLSKey: *tlsKey, Log: os.Stderr,
+	}, plannerName(s, *balance))
 	if err != nil {
 		return err
 	}
-	if rr.Executed == 0 && rr.Planned > 0 {
-		// Nothing was pending, so the runner — and thus the HTTP server
-		// — never started; workers pointed here will see connection
-		// refused, not StatusDone.
-		fmt.Fprintf(os.Stderr, "checkpoint %s already complete: no coordinator was started; stop any waiting workers\n", *out)
+	// The service logs the resolved listen address, the state dir and
+	// the admitted run (its ID carries the spec fingerprint's prefix).
+	rr, err := campaign.Run(built.Campaign, campaign.Options{Context: ctx, Runner: rn, Checkpoint: *out, Log: os.Stderr})
+	if cerr := rn.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return err
 	}
 	fmt.Fprintf(os.Stderr, "campaign %s: %d/%d trials complete -> %s\n",
 		s.Kind, len(rr.Results), rr.Planned, *out)
@@ -631,13 +609,13 @@ func serveCmd(args []string) error {
 func workCmd(args []string) error {
 	fs := flag.NewFlagSet("work", flag.ExitOnError)
 	var (
-		coord   = fs.String("coordinator", "", "coordinator or campaign-service base URL (http://host:port)")
-		token   = fs.String("token", "", "bearer token for a campaign service (default $CAMPAIGN_TOKEN; single-run coordinators ignore it)")
+		coord   = fs.String("coordinator", "", "control-plane base URL: serve, a -coordinator tool, or a campaign service (http://host:port)")
+		token   = fs.String("token", "", "bearer token (default $CAMPAIGN_TOKEN)")
 		name    = fs.String("name", "", "worker display name (default host-pid)")
 		ckptDir = fs.String("checkpoint", "", "directory for local per-shard JSONL checkpoints (resume on restart)")
 		cache   = fs.String("cache", "", "directory for baseline snapshots (reused across runs)")
 		poll    = fs.Duration("poll", 0, "idle poll interval (0 = default)")
-		tlsCA   = fs.String("tls-ca", "", "PEM CA bundle for an https:// coordinator with a private certificate")
+		tlsCA   = fs.String("tls-ca", "", "PEM CA bundle for an https:// control plane with a private certificate")
 		backend = fs.String("backend", "", tensor.BackendFlagDoc)
 	)
 	fs.Parse(args)
@@ -652,8 +630,8 @@ func workCmd(args []string) error {
 	}
 	ctx, stop := sigCtx()
 	defer stop()
-	// No campaign configuration here, by design: the coordinator ships
-	// its canonical spec at registration and the worker builds from it.
+	// No campaign configuration here, by design: every lease grant
+	// ships its run's canonical spec and the worker builds from it.
 	w := cluster.NewWorker(cluster.WorkerConfig{
 		Coordinator: *coord, Token: resolveToken(*token), Name: *name,
 		CheckpointDir: *ckptDir, CacheDir: *cache, Poll: *poll,
@@ -686,17 +664,13 @@ func serviceCmd(args []string) error {
 	if *state == "" {
 		return fmt.Errorf("service needs -state <dir>")
 	}
-	abs, err := ensureStateDir(*state)
-	if err != nil {
-		return err
-	}
 	if err := tensor.SetDefaultByName(*backend); err != nil {
 		return err
 	}
 	ctx, stop := sigCtx()
 	defer stop()
 	svc := service.New(service.Config{
-		Addr: *addr, StateDir: abs, Token: resolveToken(*token),
+		Addr: *addr, StateDir: *state, Token: resolveToken(*token),
 		Shards: *shards, LeaseTTL: *leaseTTL, CacheDir: *cache,
 		Retain: *retain, TLSCert: *tlsCert, TLSKey: *tlsKey, Log: os.Stderr,
 	})
@@ -892,26 +866,6 @@ func resolveToken(flagValue string) string {
 		return flagValue
 	}
 	return os.Getenv("CAMPAIGN_TOKEN")
-}
-
-// ensureStateDir resolves a -state flag to an absolute, writable
-// directory — creating it if needed — so misconfiguration fails at
-// startup, not at the first journal write.
-func ensureStateDir(dir string) (string, error) {
-	abs, err := filepath.Abs(dir)
-	if err != nil {
-		return "", fmt.Errorf("resolve -state %s: %w", dir, err)
-	}
-	if err := os.MkdirAll(abs, 0o755); err != nil {
-		return "", fmt.Errorf("-state %s unusable: %w", dir, err)
-	}
-	probe, err := os.CreateTemp(abs, ".probe-*")
-	if err != nil {
-		return "", fmt.Errorf("-state %s not writable: %w", abs, err)
-	}
-	probe.Close()
-	os.Remove(probe.Name())
-	return abs, nil
 }
 
 func mergeCmd(args []string) error {

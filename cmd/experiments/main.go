@@ -12,9 +12,11 @@
 // The figure sweeps run as campaigns (internal/campaign): -checkpoint
 // makes them resumable, and -shard splits one campaign across processes
 // whose partial JSONL files merge bit-identically with `campaign merge`.
-// -coordinator serves each selected campaign to remote spec-free worker
-// daemons (`campaign work -coordinator <url>`) instead of running
-// trials locally.
+// -coordinator serves every selected campaign, one after another, to
+// one fleet of remote spec-free worker daemons (`campaign work
+// -coordinator <url>`) instead of running trials locally; the workers
+// exit once the last campaign is done. Workers and this tool share the
+// bearer token in $CAMPAIGN_TOKEN.
 //
 // Usage:
 //
@@ -25,7 +27,7 @@
 //	experiments -quick -fig 5a -shard 1/2 -checkpoint out/   # other half
 //	campaign merge out/fig5a-shard*.jsonl                    # assembled figure
 //
-//	experiments -quick -fig 5a -coordinator :9090            # distributed
+//	experiments -quick -fig 5a,5b -coordinator :9090         # distributed
 //	campaign work -coordinator http://host:9090              # each worker
 package main
 
@@ -40,8 +42,8 @@ import (
 	"syscall"
 
 	"falvolt/internal/campaign"
-	"falvolt/internal/cluster"
 	"falvolt/internal/experiments"
+	"falvolt/internal/service"
 	"falvolt/internal/spec"
 	"falvolt/internal/tensor"
 )
@@ -62,16 +64,30 @@ func main() {
 		dumpSpec = flag.Bool("dump-spec", false, "print the spec of the single selected campaign and exit")
 		shardArg = flag.String("shard", "", "run the i-th of n interleaved trial subsets of each figure campaign (i/n)")
 		ckptDir  = flag.String("checkpoint", "", "directory for per-campaign JSONL checkpoints (resume + shard partials)")
-		coordArg = flag.String("coordinator", "", "serve each selected campaign to remote spec-free workers on this listen address (host:port); workers run `campaign work -coordinator <url>`")
+		coordArg = flag.String("coordinator", "", "serve the selected campaigns to remote spec-free workers on this listen address (host:port); workers run `campaign work -coordinator <url>`; token from $CAMPAIGN_TOKEN")
 	)
 	flag.Parse()
 
+	// runner serves every selected campaign to one worker fleet under
+	// -coordinator; closing it tells the fleet its queue is closed
+	// (failed, if a served campaign failed).
+	var runner *service.Runner
+	closeRunner := func() {
+		if runner != nil {
+			if err := runner.Close(); err != nil {
+				fmt.Fprintln(os.Stderr, "experiments:", err)
+			}
+			runner = nil
+		}
+	}
 	fail := func(context string, err error) {
 		fmt.Fprintf(os.Stderr, "experiments: %s: %v\n", context, err)
+		closeRunner()
 		os.Exit(1)
 	}
 	failTop := func(err error) {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
+		closeRunner()
 		os.Exit(1)
 	}
 	if flag.NArg() > 0 {
@@ -172,6 +188,14 @@ func main() {
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
+	if *coordArg != "" {
+		r, err := service.NewRunner(service.Config{Addr: *coordArg, Token: os.Getenv("CAMPAIGN_TOKEN"), Log: os.Stderr}, "")
+		if err != nil {
+			failTop(err)
+		}
+		runner = r
+		defer closeRunner()
+	}
 
 	bopt := spec.BuildOpts{CacheDir: *cache}
 	if *verbose {
@@ -205,12 +229,8 @@ func main() {
 			}
 			copt.Checkpoint = shardFile(name)
 		}
-		if *coordArg != "" {
-			// One single-use coordinator per campaign; sequential
-			// campaigns reuse the same listen address.
-			copt.Runner = cluster.NewCoordinator(cluster.CoordinatorConfig{
-				Addr: *coordArg, Spec: s, Log: os.Stderr,
-			})
+		if runner != nil {
+			copt.Runner = runner
 		}
 		if *verbose {
 			copt.Log = os.Stderr
@@ -282,6 +302,7 @@ func main() {
 				fail(fc.camp, err)
 			}
 		}
+		closeRunner() // the fleet is done; ablations below run locally
 	} else {
 		run("2", func() error { return printFig(suite.Fig2()) })
 		run("5a", func() error { return printFig(suite.Fig5a()) })

@@ -13,7 +13,8 @@
 // compute-engine lanes, -checkpoint makes the run resumable, -shard
 // splits it across processes (merge the partial files with `campaign
 // merge`), and -coordinator serves the dies to remote spec-free worker
-// daemons (`campaign work -coordinator <url>`).
+// daemons (`campaign work -coordinator <url>`), which share the bearer
+// token in $CAMPAIGN_TOKEN.
 //
 // Usage:
 //
@@ -23,7 +24,7 @@
 //	yield -chips 40 -shard 1/2 -checkpoint y1.jsonl   # process 2
 //	campaign merge y0.jsonl y1.jsonl                  # combined report
 //
-//	yield -chips 40 -coordinator :9090 -checkpoint y.jsonl   # coordinator
+//	yield -chips 40 -coordinator :9090 -checkpoint y.jsonl   # control plane
 //	campaign work -coordinator http://host:9090              # each worker
 package main
 
@@ -37,8 +38,8 @@ import (
 	"syscall"
 
 	"falvolt/internal/campaign"
-	"falvolt/internal/cluster"
 	"falvolt/internal/core"
+	"falvolt/internal/service"
 	"falvolt/internal/spec"
 	"falvolt/internal/systolic"
 	"falvolt/internal/tensor"
@@ -65,7 +66,7 @@ func main() {
 		dumpSpec   = flag.Bool("dump-spec", false, "print the spec compiled from the flags and exit")
 		shardArg   = flag.String("shard", "", "run the i-th of n interleaved die subsets (i/n); merge partials with `campaign merge`")
 		checkpoint = flag.String("checkpoint", "", "JSONL checkpoint: append per-die results, resume by skipping completed dies")
-		coordArg   = flag.String("coordinator", "", "serve the dies to remote spec-free workers on this listen address (host:port); workers run `campaign work -coordinator <url>`")
+		coordArg   = flag.String("coordinator", "", "serve the dies to remote spec-free workers on this listen address (host:port); workers run `campaign work -coordinator <url>`; token from $CAMPAIGN_TOKEN")
 	)
 	flag.Parse()
 
@@ -141,11 +142,18 @@ func main() {
 		Context: ctx, Shard: shard, Checkpoint: *checkpoint, Log: os.Stderr,
 	}
 	if *coordArg != "" {
-		opt.Runner = cluster.NewCoordinator(cluster.CoordinatorConfig{
-			Addr: *coordArg, Spec: s, Log: os.Stderr,
-		})
+		rn, err := service.NewRunner(service.Config{Addr: *coordArg, Token: os.Getenv("CAMPAIGN_TOKEN"), Log: os.Stderr}, "")
+		if err != nil {
+			fail(err)
+		}
+		opt.Runner = rn
 	}
 	rr, err := campaign.Run(built.Campaign, opt)
+	if rn, ok := opt.Runner.(*service.Runner); ok {
+		if cerr := rn.Close(); err == nil {
+			err = cerr
+		}
+	}
 	if err != nil {
 		fail(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
 	"sort"
 	"strings"
 )
@@ -176,7 +177,7 @@ func (b BalancedPlanner) Plan(trials []Trial, n int) ([]PlannedShard, error) {
 
 // balancePrefix is the planner-name form selecting BalancedPlanner:
 // "balance:<timing-source>", where the source is a checkpoint JSONL, a
-// coordinator WAL, or a coordinator state directory (its wal.jsonl).
+// run WAL, or a state directory (see TimingFromFile).
 const balancePrefix = "balance:"
 
 // PlannerNameDoc documents the planner-name forms for flag help and
@@ -219,12 +220,13 @@ func PlannerByName(name string) (Planner, error) {
 }
 
 // TimingFromFile loads per-key timing summaries from a results file: a
-// checkpoint JSONL, a coordinator WAL, or a state directory holding
-// one (its wal.jsonl). A corrupt WAL is reported as itself (file and
+// checkpoint JSONL, a run WAL, or a state directory — every run journal
+// under its runs/<run>/wal.jsonl, or the wal.jsonl of the older
+// single-run layout. A corrupt WAL is reported as itself (file and
 // line), not as a failed checkpoint parse of the wrong format.
 func TimingFromFile(path string) ([]KeyTiming, error) {
 	if st, err := os.Stat(path); err == nil && st.IsDir() {
-		path = WALPath(path)
+		return timingFromStateDir(path)
 	}
 	_, wResults, _, wErr := ReadWAL(path)
 	if wErr == nil {
@@ -239,4 +241,25 @@ func TimingFromFile(path string) ([]KeyTiming, error) {
 		return nil, fmt.Errorf("timing source %s: %w", path, cErr)
 	}
 	return nil, fmt.Errorf("timing source %s: %w", path, wErr)
+}
+
+// timingFromStateDir pools the journaled results of every run in a
+// state directory.
+func timingFromStateDir(dir string) ([]KeyTiming, error) {
+	wals, err := filepath.Glob(filepath.Join(dir, "runs", "*", WALFileName))
+	if err != nil {
+		return nil, err
+	}
+	if len(wals) == 0 {
+		wals = []string{WALPath(dir)}
+	}
+	var all []Result
+	for _, path := range wals {
+		_, results, _, err := ReadWAL(path)
+		if err != nil {
+			return nil, fmt.Errorf("timing source %s: %w", dir, err)
+		}
+		all = append(all, results...)
+	}
+	return TimingByKey(all), nil
 }

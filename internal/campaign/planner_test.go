@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -268,5 +269,44 @@ func TestPlannerByName(t *testing.T) {
 	ck.Close()
 	if _, err := PlannerByName("balance:" + bare); err == nil || !strings.Contains(err.Error(), "no recorded durations") {
 		t.Fatalf("timing-free source accepted: %v", err)
+	}
+}
+
+// TestTimingFromStateDir: a state dir is a timing source in both
+// layouts — every run journal under runs/<run>/wal.jsonl, and the
+// top-level wal.jsonl of the older single-run layout.
+func TestTimingFromStateDir(t *testing.T) {
+	journal := func(path string, walls ...float64) {
+		t.Helper()
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		w, err := CreateWAL(path, walFixtureHeader())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer w.Close()
+		for id, wall := range walls {
+			if err := w.AppendResult(Result{TrialID: id, Key: "k", Wall: wall}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	runs := t.TempDir()
+	journal(filepath.Join(runs, "runs", "r1-aaaa", WALFileName), 1, 3)
+	journal(filepath.Join(runs, "runs", "r2-bbbb", WALFileName), 5)
+	old := t.TempDir()
+	journal(WALPath(old), 2, 4)
+	for dir, want := range map[string]KeyTiming{
+		runs: {Key: "k", Count: 3, Total: 9, Max: 5},
+		old:  {Key: "k", Count: 2, Total: 6, Max: 4},
+	} {
+		got, err := TimingFromFile(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != 1 || got[0] != want {
+			t.Fatalf("timing of %s = %+v, want [%+v]", dir, got, want)
+		}
 	}
 }

@@ -7,16 +7,16 @@ import (
 	"path/filepath"
 )
 
-// Coordinator write-ahead log. A distributed-campaign coordinator
-// journals everything it would lose on a crash — which experiment it
-// serves, how the trial list was split into shards, which leases it
-// granted, and every result it accepted — as append-only JSONL, one
-// record per line, flushed per append like checkpoints. A restarted
-// coordinator replays the file (tolerating a torn final line from the
-// kill), re-derives the trial bodies from the embedded spec, restores
-// the exact shard table, treats journaled-but-open leases as
-// invalidated, and carries on; workers re-register and resume from
-// their local checkpoints. The WAL doubles as a timing source for
+// Coordinator write-ahead log. The distributed-campaign control plane
+// (internal/service) journals, per run, everything it would lose on a
+// crash — which experiment the run is, how its trial list was split
+// into shards, which leases it granted, and every result it accepted —
+// as append-only JSONL, one record per line, flushed per append like
+// checkpoints. A restarted control plane replays the file (tolerating
+// a torn final line from the kill), re-derives the trial bodies from
+// the embedded spec, restores the exact shard table, treats
+// journaled-but-open leases as invalidated, and carries on; workers
+// re-register and resume from their local checkpoints. The WAL doubles as a timing source for
 // load-aware planning (TimingFromFile) since result records carry the
 // out-of-band per-trial wall-clock.
 
@@ -185,9 +185,7 @@ func ReadWAL(path string) (WALHeader, []Result, []WALLease, error) {
 }
 
 // ReadWALBytes is ReadWAL over an already-loaded journal; path only
-// names the source in errors. It lets a caller that had to read the
-// file anyway (a restarting coordinator probing for a torn header)
-// avoid a second full read.
+// names the source in errors.
 func ReadWALBytes(data []byte, path string) (WALHeader, []Result, []WALLease, error) {
 	fail := func(err error) (WALHeader, []Result, []WALLease, error) {
 		return WALHeader{}, nil, nil, err
@@ -221,6 +219,11 @@ func ReadWALBytes(data []byte, path string) (WALHeader, []Result, []WALLease, er
 		case rec.Plan != nil:
 			if !gotHeader {
 				return fail(fmt.Errorf("campaign: WAL %s: plan record before header", path))
+			}
+			if rec.Plan.Shards == nil {
+				// The same rule as the header's: a journal always names
+				// a shard table, so replay never restores none.
+				return fail(fmt.Errorf("campaign: WAL %s: plan record without a shard table", path))
 			}
 			// The latest plan supersedes the header's admission-time
 			// shard table; fold it in so callers replay the plan that

@@ -1,9 +1,18 @@
-package cluster
+package cluster_test
+
+// The worker's behaviour tests drive cluster.Worker against the one
+// control plane, service.Runner, exactly as `campaign serve` and
+// `campaign work` do: a Runner serves the campaign through campaign.Run
+// and is closed when the run returns, and spec-free workers lease its
+// shards over HTTP.
 
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
+	"io"
+	"net/http"
 	"path/filepath"
 	"strings"
 	"sync/atomic"
@@ -11,9 +20,15 @@ import (
 	"time"
 
 	"falvolt/internal/campaign"
+	"falvolt/internal/cluster"
+	"falvolt/internal/service"
 	"falvolt/internal/spec"
 	"falvolt/internal/tensor"
 )
+
+// testToken is the bearer credential every test control plane requires
+// and every test worker sends.
+const testToken = "cluster-test-token"
 
 // selftestSpec declares the synthetic smoke campaign the way a cmd tool
 // would compile it from flags.
@@ -25,7 +40,7 @@ func selftestSpec(n int, seed int64) *spec.Spec {
 }
 
 // buildFromSpec constructs the campaign a spec describes — the same
-// path coordinators, workers and cmd tools share.
+// path control planes, workers and cmd tools share.
 func buildFromSpec(t *testing.T, sp *spec.Spec) campaign.Campaign {
 	t.Helper()
 	built, err := spec.Build(sp, spec.BuildOpts{})
@@ -33,6 +48,22 @@ func buildFromSpec(t *testing.T, sp *spec.Spec) campaign.Campaign {
 		t.Fatal(err)
 	}
 	return built.Campaign
+}
+
+// withSpec attaches sp to a hand-built test campaign the way spec.Build
+// attaches a registry campaign's spec: the Runner ships it to workers,
+// whose Build hook then substitutes the test campaign.
+func withSpec(t *testing.T, c campaign.Campaign, sp *spec.Spec) campaign.Campaign {
+	t.Helper()
+	canonical, err := sp.Canonical()
+	if err != nil {
+		t.Fatal(err)
+	}
+	trials, err := c.Trials()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return campaign.NewWithMeta(c.Name(), map[string]string{"spec": string(canonical)}, trials, c.NewWorker)
 }
 
 // countingRunner wraps a Runner and counts delivered results, so tests
@@ -77,37 +108,49 @@ func (r *cancelAfter) Run(ctx context.Context, c campaign.Campaign, trials []cam
 	return r.inner.Run(ctx, c, trials, wrapped)
 }
 
-// startCoordinator runs campaign.Run with a Coordinator runner in the
-// background and returns the coordinator, its URL, and a channel with
-// the run outcome. sp is the spec the coordinator ships to workers.
-func startCoordinator(t *testing.T, c campaign.Campaign, sp *spec.Spec, cfg CoordinatorConfig,
-	opt campaign.Options) (*Coordinator, string, <-chan runOutcome) {
+// startRunner serves c through a fresh service.Runner in the
+// background, the way `campaign serve` does: campaign.Run with the
+// Runner, then Close. It returns once the run is admitted (its shard
+// table planned and journaled) or over, with the Runner, its URL, and
+// a channel carrying the outcome.
+func startRunner(t *testing.T, c campaign.Campaign, cfg service.Config, planner string,
+	opt campaign.Options) (*service.Runner, string, <-chan runOutcome) {
 	t.Helper()
-	cfg.Spec = sp
 	if cfg.Addr == "" {
 		cfg.Addr = "127.0.0.1:0"
 	}
-	if cfg.Linger == 0 {
-		cfg.Linger = 50 * time.Millisecond
+	cfg.Token = testToken
+	rn, err := service.NewRunner(cfg, planner)
+	if err != nil {
+		t.Fatal(err)
 	}
-	co := NewCoordinator(cfg)
-	opt.Runner = co
+	opt.Runner = rn
 	if opt.Context == nil {
 		ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 		t.Cleanup(cancel)
 		opt.Context = ctx
 	}
 	out := make(chan runOutcome, 1)
+	finished := make(chan struct{})
 	go func() {
+		defer close(finished)
 		rr, err := campaign.Run(c, opt)
+		if cerr := rn.Close(); err == nil {
+			err = cerr
+		}
 		out <- runOutcome{rr: rr, err: err}
 	}()
-	select {
-	case <-co.Ready():
-	case <-time.After(10 * time.Second):
-		t.Fatal("coordinator never started listening")
+	deadline := time.After(10 * time.Second)
+	for runStats(rn).Shards == 0 {
+		select {
+		case <-finished:
+			return rn, rn.URL(), out
+		case <-deadline:
+			t.Fatal("the runner never admitted the campaign")
+		case <-time.After(5 * time.Millisecond):
+		}
 	}
-	return co, co.URL(), out
+	return rn, rn.URL(), out
 }
 
 type runOutcome struct {
@@ -115,11 +158,22 @@ type runOutcome struct {
 	err error
 }
 
+// runStats returns the newest run in the Runner's catalog — the one
+// each test serves.
+func runStats(rn *service.Runner) service.RunSummary {
+	runs := rn.Status().Runs
+	if len(runs) == 0 {
+		return service.RunSummary{}
+	}
+	return runs[len(runs)-1]
+}
+
 // startWorker launches a worker daemon. Unless the test injects a
 // Build hook, the worker is spec-free: everything it knows about the
-// campaign arrives from the coordinator at registration.
-func startWorker(t *testing.T, cfg WorkerConfig, ctx context.Context) <-chan error {
+// campaign arrives in lease grants.
+func startWorker(t *testing.T, cfg cluster.WorkerConfig, ctx context.Context) <-chan error {
 	t.Helper()
+	cfg.Token = testToken
 	if cfg.Poll == 0 {
 		cfg.Poll = 20 * time.Millisecond
 	}
@@ -127,7 +181,7 @@ func startWorker(t *testing.T, cfg WorkerConfig, ctx context.Context) <-chan err
 		cfg.Runner = campaign.PoolRunner{Engine: tensor.NewParallel(2)}
 	}
 	done := make(chan error, 1)
-	go func() { done <- NewWorker(cfg).Run(ctx) }()
+	go func() { done <- cluster.NewWorker(cfg).Run(ctx) }()
 	return done
 }
 
@@ -145,8 +199,8 @@ func singleProcessWant(t *testing.T, c campaign.Campaign) []byte {
 }
 
 // TestDistributedEquivalence is the acceptance gate: a campaign
-// distributed across two loopback workers launched spec-free (the
-// coordinator ships the canonical spec at registration) produces
+// distributed across two loopback workers launched spec-free (lease
+// grants carry the canonical spec) produces
 // byte-identical merged result JSON to the single-process PoolRunner
 // run, with every trial executed exactly once.
 func TestDistributedEquivalence(t *testing.T) {
@@ -155,8 +209,8 @@ func TestDistributedEquivalence(t *testing.T) {
 	want := singleProcessWant(t, buildFromSpec(t, sp))
 
 	ckpt := filepath.Join(t.TempDir(), "coordinator.jsonl")
-	co, url, out := startCoordinator(t, buildFromSpec(t, sp), sp,
-		CoordinatorConfig{Shards: 4, LeaseTTL: 2 * time.Second},
+	co, url, out := startRunner(t, buildFromSpec(t, sp),
+		service.Config{Shards: 4, LeaseTTL: 2 * time.Second}, "",
 		campaign.Options{Checkpoint: ckpt})
 
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
@@ -168,10 +222,10 @@ func TestDistributedEquivalence(t *testing.T) {
 	// w1 is fully spec-free; w2 additionally records what arrived, to
 	// pin down that the campaign really came over the wire.
 	var gotKind atomic.Value
-	w1 := startWorker(t, WorkerConfig{
+	w1 := startWorker(t, cluster.WorkerConfig{
 		Coordinator: url, Name: "w1", CheckpointDir: t.TempDir(), Runner: counting(),
 	}, ctx)
-	w2 := startWorker(t, WorkerConfig{
+	w2 := startWorker(t, cluster.WorkerConfig{
 		Coordinator: url, Name: "w2", CheckpointDir: t.TempDir(), Runner: counting(),
 		Build: func(s *spec.Spec) (*spec.Built, error) {
 			gotKind.Store(s.Kind)
@@ -233,7 +287,7 @@ func TestDistributedEquivalence(t *testing.T) {
 	if b, _ := campaign.MarshalResults(rs); !bytes.Equal(b, want) {
 		t.Fatal("coordinator checkpoint differs from single-process run")
 	}
-	if st := co.Stats(); st.Reassigned != 0 || !st.Complete {
+	if st := runStats(co); st.Reassigned != 0 || st.State != service.RunDone {
 		t.Fatalf("stats: %+v", st)
 	}
 }
@@ -248,8 +302,8 @@ func TestWorkerDeathReassignment(t *testing.T) {
 	want := singleProcessWant(t, buildFromSpec(t, sp))
 
 	ckpt := filepath.Join(t.TempDir(), "coordinator.jsonl")
-	co, url, out := startCoordinator(t, buildFromSpec(t, sp), sp,
-		CoordinatorConfig{Shards: 2, LeaseTTL: 150 * time.Millisecond},
+	co, url, out := startRunner(t, buildFromSpec(t, sp),
+		service.Config{Shards: 2, LeaseTTL: 150 * time.Millisecond}, "",
 		campaign.Options{Checkpoint: ckpt})
 
 	// Worker A dies (stops running AND heartbeating) after 3 results.
@@ -261,12 +315,12 @@ func TestWorkerDeathReassignment(t *testing.T) {
 		after:  dieAfter,
 		cancel: cancelA,
 	}
-	wa := startWorker(t, WorkerConfig{Coordinator: url, Name: "doomed", Runner: ra, CheckpointDir: t.TempDir()}, ctxA)
+	wa := startWorker(t, cluster.WorkerConfig{Coordinator: url, Name: "doomed", Runner: ra, CheckpointDir: t.TempDir()}, ctxA)
 
 	// Let A claim a shard and push its 3 results before B exists, so
 	// the reassignment path is actually exercised.
 	deadline := time.Now().Add(30 * time.Second)
-	for co.Stats().Done < dieAfter {
+	for runStats(co).Done < dieAfter {
 		if time.Now().After(deadline) {
 			t.Fatal("worker A never delivered its first results")
 		}
@@ -276,7 +330,7 @@ func TestWorkerDeathReassignment(t *testing.T) {
 
 	ctxB, cancelB := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancelB()
-	wb := startWorker(t, WorkerConfig{
+	wb := startWorker(t, cluster.WorkerConfig{
 		Coordinator: url, Name: "survivor", CheckpointDir: t.TempDir(),
 		Runner: countingRunner{inner: campaign.PoolRunner{Engine: tensor.Serial()}, runs: &runs},
 	}, ctxB)
@@ -298,7 +352,7 @@ func TestWorkerDeathReassignment(t *testing.T) {
 	if runs.Load() != n {
 		t.Fatalf("workers executed %d trials across the death+reassignment, want exactly %d", runs.Load(), n)
 	}
-	if st := co.Stats(); st.Reassigned < 1 {
+	if st := runStats(co); st.Reassigned < 1 {
 		t.Fatalf("expected at least one lease reassignment, stats: %+v", st)
 	}
 	// Surviving checkpoint: every trial exactly once.
@@ -321,8 +375,8 @@ func TestRestartedWorkerResumesLocalCheckpoint(t *testing.T) {
 	want := singleProcessWant(t, buildFromSpec(t, sp))
 
 	var runs atomic.Int64
-	_, url, out := startCoordinator(t, buildFromSpec(t, sp), sp,
-		CoordinatorConfig{Shards: 1, LeaseTTL: 150 * time.Millisecond},
+	_, url, out := startRunner(t, buildFromSpec(t, sp),
+		service.Config{Shards: 1, LeaseTTL: 150 * time.Millisecond}, "",
 		campaign.Options{})
 
 	dir := t.TempDir() // shared across the worker's two lives
@@ -333,12 +387,12 @@ func TestRestartedWorkerResumesLocalCheckpoint(t *testing.T) {
 		after:  dieAfter,
 		cancel: cancelA,
 	}
-	wa := startWorker(t, WorkerConfig{Coordinator: url, Name: "flaky", Runner: ra, CheckpointDir: dir}, ctxA)
+	wa := startWorker(t, cluster.WorkerConfig{Coordinator: url, Name: "flaky", Runner: ra, CheckpointDir: dir}, ctxA)
 	<-wa
 
 	ctxB, cancelB := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancelB()
-	wb := startWorker(t, WorkerConfig{
+	wb := startWorker(t, cluster.WorkerConfig{
 		Coordinator: url, Name: "flaky", CheckpointDir: dir,
 		Runner: countingRunner{inner: campaign.PoolRunner{Engine: tensor.Serial()}, runs: &runs},
 	}, ctxB)
@@ -356,8 +410,13 @@ func TestRestartedWorkerResumesLocalCheckpoint(t *testing.T) {
 	if runs.Load() != n {
 		t.Fatalf("executed %d trials across restart, want exactly %d (local checkpoint must prevent re-runs)", runs.Load(), n)
 	}
-	// The local shard checkpoint is complete and re-readable.
-	_, rs, err := campaign.ReadCheckpoint(filepath.Join(dir, shardFileName("selftest", "0/1")))
+	// The local shard checkpoint ("<run>-selftest-shard0of1.jsonl") is
+	// complete and re-readable.
+	local, err := filepath.Glob(filepath.Join(dir, "*-selftest-shard0of1.jsonl"))
+	if err != nil || len(local) != 1 {
+		t.Fatalf("local shard checkpoints %v (%v), want exactly one", local, err)
+	}
+	_, rs, err := campaign.ReadCheckpoint(local[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -373,12 +432,11 @@ func TestProtocolMismatchRejected(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	sp := selftestSpec(20, 1)
-	_, url, out := startCoordinator(t, buildFromSpec(t, sp), sp,
-		CoordinatorConfig{LeaseTTL: time.Second},
+	_, url, out := startRunner(t, buildFromSpec(t, sp),
+		service.Config{LeaseTTL: time.Second}, "",
 		campaign.Options{Context: ctx})
 
-	cl := newClient(url, "", "")
-	_, err := cl.register(RegisterRequest{Worker: "stale-build", Proto: ProtocolVersion - 1})
+	err := register(url, cluster.RegisterRequest{Worker: "stale-build", Proto: cluster.ProtocolVersion - 1})
 	if err == nil || !strings.Contains(err.Error(), "protocol version mismatch") {
 		t.Fatalf("stale worker registered anyway: err=%v", err)
 	}
@@ -388,6 +446,30 @@ func TestProtocolMismatchRejected(t *testing.T) {
 	}
 }
 
+// register posts one registration the way a worker of any build would,
+// returning the control plane's rejection as an error.
+func register(url string, req cluster.RegisterRequest) error {
+	body, err := json.Marshal(req)
+	if err != nil {
+		return err
+	}
+	hreq, err := http.NewRequest(http.MethodPost, url+"/v1/register", bytes.NewReader(body))
+	if err != nil {
+		return err
+	}
+	hreq.Header.Set("Authorization", "Bearer "+testToken)
+	resp, err := http.DefaultClient.Do(hreq)
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	msg, _ := io.ReadAll(resp.Body)
+	if resp.StatusCode != http.StatusOK {
+		return fmt.Errorf("register: HTTP %d: %s", resp.StatusCode, msg)
+	}
+	return nil
+}
+
 // TestUnknownSpecKindFailsWorker: a worker handed a spec whose kind its
 // build has no registered builder for fails cleanly at build time
 // instead of looping or corrupting anything.
@@ -395,12 +477,12 @@ func TestUnknownSpecKindFailsWorker(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	sp := &spec.Spec{Version: spec.Version, Kind: "martian"}
-	_, url, out := startCoordinator(t, campaign.Synthetic(8, 1), sp,
-		CoordinatorConfig{LeaseTTL: time.Second},
+	_, url, out := startRunner(t, withSpec(t, campaign.Synthetic(8, 1), sp),
+		service.Config{LeaseTTL: time.Second}, "",
 		campaign.Options{Context: ctx})
 
-	err := NewWorker(WorkerConfig{
-		Coordinator: url, Name: "confused", Poll: 10 * time.Millisecond,
+	err := cluster.NewWorker(cluster.WorkerConfig{
+		Coordinator: url, Token: testToken, Name: "confused", Poll: 10 * time.Millisecond,
 	}).Run(ctx)
 	if err == nil || !strings.Contains(err.Error(), "unknown kind") {
 		t.Fatalf("worker with unbuildable spec should fail with unknown kind, got: %v", err)
@@ -428,12 +510,12 @@ func TestHeartbeatKeepsSlowShardAlive(t *testing.T) {
 	})
 
 	var runs atomic.Int64
-	co, url, out := startCoordinator(t, slow, selftestSpec(n, 1),
-		CoordinatorConfig{Shards: 1, LeaseTTL: 150 * time.Millisecond},
+	co, url, out := startRunner(t, withSpec(t, slow, selftestSpec(n, 1)),
+		service.Config{Shards: 1, LeaseTTL: 150 * time.Millisecond}, "",
 		campaign.Options{})
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-	w := startWorker(t, WorkerConfig{
+	w := startWorker(t, cluster.WorkerConfig{
 		Coordinator: url, Name: "slowpoke",
 		Runner: countingRunner{inner: campaign.PoolRunner{Engine: tensor.Serial()}, runs: &runs},
 		// The test campaign is not spec-buildable; inject it directly.
@@ -450,7 +532,7 @@ func TestHeartbeatKeepsSlowShardAlive(t *testing.T) {
 	if runs.Load() != n {
 		t.Fatalf("executed %d trials, want %d (reassignment would re-run)", runs.Load(), n)
 	}
-	if st := co.Stats(); st.Reassigned != 0 {
+	if st := runStats(co); st.Reassigned != 0 {
 		t.Fatalf("slow shard was reassigned despite heartbeats: %+v", st)
 	}
 }
@@ -471,12 +553,12 @@ func TestTrialErrorAbortsCampaign(t *testing.T) {
 		}), nil
 	})
 
-	_, url, out := startCoordinator(t, failing, selftestSpec(8, 1),
-		CoordinatorConfig{Shards: 2, LeaseTTL: time.Second},
+	_, url, out := startRunner(t, withSpec(t, failing, selftestSpec(8, 1)),
+		service.Config{Shards: 2, LeaseTTL: time.Second}, "",
 		campaign.Options{})
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-	w := startWorker(t, WorkerConfig{
+	w := startWorker(t, cluster.WorkerConfig{
 		Coordinator: url, Name: "unlucky",
 		Runner: campaign.PoolRunner{Engine: tensor.Serial()},
 		Build:  func(*spec.Spec) (*spec.Built, error) { return &spec.Built{Campaign: failing}, nil },

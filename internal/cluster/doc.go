@@ -1,83 +1,42 @@
-// Package cluster runs fault-sweep campaigns across machines: a
-// coordinator plans a campaign into interleaved shards
-// (campaign.Shard), leases them to worker daemons over HTTP+JSON, and
-// folds the streamed-back results through the campaign engine's
-// order-independent merge. Coordinator implements campaign.Runner, so
-// any sweep that runs on the in-process PoolRunner — the figure
-// campaigns of cmd/experiments, the yield study of cmd/yield — runs on
-// a fleet by swapping the runner (`cmd/campaign serve` / `cmd/campaign
-// work`, or the -coordinator flag on the sweep tools).
+// Package cluster holds the mechanics of running fault-sweep campaigns
+// across machines: the wire protocol workers speak, the lease table
+// with heartbeat-renewed deadlines, the HTTP and TLS transport helpers,
+// and the worker daemon. It holds no scheduling policy and no control
+// plane of its own — internal/service is the one control plane, both
+// for the long-lived multi-run catalog (`campaign service`) and for the
+// campaigns a CLI serves in-process through service.Runner (`campaign
+// serve`, `yield -coordinator`, `experiments -coordinator`).
 //
 // Determinism guarantee: distribution never changes results. Every
 // trial is seed-addressed — its result is a pure function of the trial,
 // not of which worker ran it, when, or after how many lease
-// reassignments — and the coordinator delivers each trial's result to
-// the campaign sink exactly once, with reductions consuming them in
+// reassignments — and the control plane delivers each trial's result to
+// its run's sink exactly once, with reductions consuming them in
 // ascending trial-ID order. A campaign distributed across any number of
 // workers (including workers that die mid-shard and have their leases
 // reassigned) therefore produces figure and report JSON byte-identical
-// to a single-process run; the cluster tests assert exactly that.
+// to a single-process run; this package's tests assert exactly that,
+// driving Worker against service.Runner.
 //
 // Fault tolerance: leases carry heartbeat-renewed deadlines. A worker
 // that misses its deadline (crash, network partition) loses the lease,
 // and the shard's remaining trials — those whose results never arrived
 // — are reassigned to the next idle worker. Workers keep a local JSONL
-// checkpoint per shard, so a restarted worker re-registers, resumes its
-// shard from disk, and streams the already-completed records instead of
-// re-running them.
+// checkpoint per (run, shard), so a restarted worker re-registers,
+// resumes its shard from disk, and streams the already-completed
+// records instead of re-running them. A worker whose ID the control
+// plane no longer knows (it restarted) re-registers on its own.
 //
-// Durability: with CoordinatorConfig.StateDir set (`campaign serve
-// -state <dir>`), the coordinator survives its own death too. It
-// journals the canonical spec, the shard table, lease grants/expiries
-// and every accepted result to an append-only WAL (campaign.WAL,
-// flushed per record, torn-tail tolerant); a restarted coordinator
-// replays the journal, restores the exact shard table, re-delivers
-// results the caller lost, invalidates leases open at the crash, and
-// refuses a state dir whose spec fingerprint mismatches the campaign it
-// was asked to serve. Workers notice only a rejected worker ID: they
-// re-register automatically (pinned to the same spec fingerprint) and
-// resume from their local checkpoints.
+// Safety: workers carry no campaign configuration of their own. Every
+// lease grant ships its run's canonical experiment spec
+// (internal/spec); the worker builds the campaign from exactly those
+// bytes via the spec registry, once per spec fingerprint, so
+// `campaign work -coordinator <url>` is all it takes to join a fleet
+// and a misconfigured worker is unrepresentable. Registration rejects
+// wire-protocol version mismatches up front.
 //
-// Shard planning is a campaign.Planner seam: the uniform interleaved
-// split by default, or — `serve -balance <timing-source>` — shards
-// sized to equalize predicted wall-clock from a prior run's recorded
-// per-key timing. Any plan merges byte-identically.
-//
-// Safety: workers carry no campaign configuration of their own. At
-// registration the coordinator ships the canonical experiment spec
-// (internal/spec) and the worker builds its campaign from exactly those
-// bytes via the spec registry — `campaign work -coordinator <url>` is
-// all it takes to join a fleet. The misconfigured-worker failure mode
-// the old flag-matching + fingerprint scheme could only detect is
-// therefore unrepresentable; registration still rejects wire-protocol
-// version mismatches up front, and the spec fingerprint names the
-// experiment in logs and /v1/status.
-//
-// # Ownership split with internal/service
-//
-// This package owns the MECHANICS of distribution, deliberately
-// single-campaign and policy-free:
-//
-//   - the wire protocol (protocol.go) — register/lease/heartbeat/
-//     results, shared verbatim by both control planes;
-//   - LeaseTable — generic over its shard key, so one table can span
-//     shards of one run (Coordinator) or of a whole catalog (service);
-//   - Worker — the one worker binary for both worlds. Registration
-//     tells it which it joined: a single-run coordinator ships the spec
-//     up front and the worker pins its fingerprint for life, while a
-//     campaign service (RegisterResponse.Service) ships a spec per
-//     LEASE, and the worker builds per fingerprint on demand, caches
-//     builds, isolates per-run failures, and honors drain directives;
-//   - Coordinator — the ephemeral control plane: one campaign, runs as
-//     a campaign.Runner inside `campaign serve`, exits with its run.
-//
-// internal/service owns the POLICY a long-lived fleet needs on top:
-// the durable run catalog (submit/list/watch/cancel, one WAL-journaled
-// state dir per run), priority + deficit fair-share scheduling across
-// runs, re-planning at admission boundaries from accumulated timing,
-// autoscaling hooks (drain + scale-up advice), and bearer-token auth.
-// Nothing there reimplements a mechanism here: the service composes
-// LeaseTable, the WAL, and this protocol. When changing a behavior,
-// place it by that test — every fleet needs it: cluster; only a
-// multi-run catalog needs it: service.
+// When changing a behavior, place it by this test: a mechanism every
+// fleet needs whatever its policy (a message, a lease deadline, the
+// worker's resume rule) belongs here; anything that decides what runs,
+// where, for whom or how durably belongs in internal/service.
 package cluster

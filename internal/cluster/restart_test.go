@@ -1,4 +1,4 @@
-package cluster
+package cluster_test
 
 import (
 	"bytes"
@@ -11,15 +11,18 @@ import (
 	"time"
 
 	"falvolt/internal/campaign"
+	"falvolt/internal/cluster"
+	"falvolt/internal/service"
 	"falvolt/internal/spec"
 	"falvolt/internal/tensor"
 )
 
-// Coordinator durability tests: the in-process counterpart of the CI
+// Control-plane durability tests: the in-process counterpart of the CI
 // kill-and-restart gauntlet. "Kill" here is context cancellation of the
-// coordinator's Run — from the fleet's perspective the same event as a
-// SIGKILL (the socket dies, worker IDs are forgotten), while the WAL on
-// disk is what the next incarnation has to work with.
+// served campaign.Run followed by Close — from the fleet's perspective
+// the same event as a SIGKILL (the socket dies, worker IDs are
+// forgotten), while the run's WAL on disk is what the next incarnation
+// has to work with.
 
 // delayedSelftestSpec declares a selftest slow enough (per-trial delay)
 // to interrupt mid-campaign deterministically.
@@ -30,17 +33,28 @@ func delayedSelftestSpec(n int, seed int64, delayMS int) *spec.Spec {
 	}
 }
 
-// hostPort strips the scheme from a coordinator URL so a restarted
-// coordinator can bind the same address its predecessor used — which
-// is what lets the surviving workers find it again.
+// hostPort strips the scheme from a control-plane URL so a restarted
+// Runner can bind the same address its predecessor used — which is
+// what lets the surviving workers find it again.
 func hostPort(url string) string { return strings.TrimPrefix(url, "http://") }
 
-// waitForDone polls a coordinator's stats until at least want results
-// were accepted.
-func waitForDone(t *testing.T, co *Coordinator, want int) {
+// walPaths lists the run journals under a state dir
+// (<state>/runs/<run>/wal.jsonl).
+func walPaths(t *testing.T, state string) []string {
+	t.Helper()
+	paths, err := filepath.Glob(filepath.Join(state, "runs", "*", campaign.WALFileName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return paths
+}
+
+// waitForDone polls a Runner's stats until at least want results were
+// accepted.
+func waitForDone(t *testing.T, co *service.Runner, want int) {
 	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
-	for co.Stats().Done < want {
+	for runStats(co).Done < want {
 		if time.Now().After(deadline) {
 			t.Fatalf("coordinator never reached %d accepted results", want)
 		}
@@ -65,14 +79,14 @@ func TestCoordinatorRestartResumesFromWAL(t *testing.T) {
 	// Life 1: durable coordinator, killed once killAfter results landed.
 	ctx1, kill := context.WithCancel(context.Background())
 	defer kill()
-	co1, url, out1 := startCoordinator(t, buildFromSpec(t, sp), sp,
-		CoordinatorConfig{Shards: 4, LeaseTTL: 300 * time.Millisecond, StateDir: state},
+	co1, url, out1 := startRunner(t, buildFromSpec(t, sp),
+		service.Config{Shards: 4, LeaseTTL: 300 * time.Millisecond, StateDir: state}, "",
 		campaign.Options{Checkpoint: ckpt, Context: ctx1})
 
 	var runs atomic.Int64
 	wctx, wcancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer wcancel()
-	w := startWorker(t, WorkerConfig{
+	w := startWorker(t, cluster.WorkerConfig{
 		Coordinator: url, Name: "survivor", CheckpointDir: t.TempDir(), Retries: 1000,
 		Runner: countingRunner{inner: campaign.PoolRunner{Engine: tensor.Serial()}, runs: &runs},
 	}, wctx)
@@ -82,15 +96,15 @@ func TestCoordinatorRestartResumesFromWAL(t *testing.T) {
 	if res := <-out1; res.err == nil {
 		t.Fatal("killed coordinator run should report cancellation")
 	}
-	done1 := co1.Stats().Done
+	done1 := runStats(co1).Done
 	if done1 >= n {
 		t.Fatalf("campaign completed (%d/%d) before the kill; raise the delay", done1, n)
 	}
 
 	// Life 2: same state dir, same checkpoint, same address. The worker
 	// was never told anything happened.
-	co2, _, out2 := startCoordinator(t, buildFromSpec(t, sp), sp,
-		CoordinatorConfig{Addr: hostPort(url), Shards: 4, LeaseTTL: 300 * time.Millisecond, StateDir: state},
+	co2, _, out2 := startRunner(t, buildFromSpec(t, sp),
+		service.Config{Addr: hostPort(url), Shards: 4, LeaseTTL: 300 * time.Millisecond, StateDir: state}, "",
 		campaign.Options{Checkpoint: ckpt})
 
 	res := <-out2
@@ -115,11 +129,15 @@ func TestCoordinatorRestartResumesFromWAL(t *testing.T) {
 	}
 	// The checkpoint already carried the pre-kill results, so nothing
 	// needed recovering from the WAL itself.
-	if st := co2.Stats(); st.Recovered != 0 || !st.Complete {
+	if st := runStats(co2); st.Recovered != 0 || st.State != service.RunDone {
 		t.Fatalf("restarted stats: %+v", st)
 	}
 	// And the WAL round-trips as a complete record of the run.
-	hdr, walResults, _, err := campaign.ReadWAL(campaign.WALPath(state))
+	wals := walPaths(t, state)
+	if len(wals) != 1 {
+		t.Fatalf("state dir holds %d run journals, want the one resumed run's", len(wals))
+	}
+	hdr, walResults, _, err := campaign.ReadWAL(wals[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,14 +157,14 @@ func TestCoordinatorRestartRecoversWALResults(t *testing.T) {
 	state := t.TempDir()
 	ctx1, kill := context.WithCancel(context.Background())
 	defer kill()
-	co1, url, out1 := startCoordinator(t, buildFromSpec(t, sp), sp,
-		CoordinatorConfig{Shards: 2, LeaseTTL: 300 * time.Millisecond, StateDir: state},
+	co1, url, out1 := startRunner(t, buildFromSpec(t, sp),
+		service.Config{Shards: 2, LeaseTTL: 300 * time.Millisecond, StateDir: state}, "",
 		campaign.Options{Context: ctx1})
 
 	var runs atomic.Int64
 	wctx, wcancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer wcancel()
-	w := startWorker(t, WorkerConfig{
+	w := startWorker(t, cluster.WorkerConfig{
 		Coordinator: url, Name: "survivor", CheckpointDir: t.TempDir(), Retries: 1000,
 		Runner: countingRunner{inner: campaign.PoolRunner{Engine: tensor.Serial()}, runs: &runs},
 	}, wctx)
@@ -156,13 +174,13 @@ func TestCoordinatorRestartRecoversWALResults(t *testing.T) {
 	if res := <-out1; res.err == nil {
 		t.Fatal("killed coordinator run should report cancellation")
 	}
-	done1 := co1.Stats().Done
+	done1 := runStats(co1).Done
 	if done1 >= n {
 		t.Fatalf("campaign completed (%d/%d) before the kill; raise the delay", done1, n)
 	}
 
-	co2, _, out2 := startCoordinator(t, buildFromSpec(t, sp), sp,
-		CoordinatorConfig{Addr: hostPort(url), Shards: 2, LeaseTTL: 300 * time.Millisecond, StateDir: state},
+	co2, _, out2 := startRunner(t, buildFromSpec(t, sp),
+		service.Config{Addr: hostPort(url), Shards: 2, LeaseTTL: 300 * time.Millisecond, StateDir: state}, "",
 		campaign.Options{})
 
 	res := <-out2
@@ -179,7 +197,7 @@ func TestCoordinatorRestartRecoversWALResults(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatal("WAL-recovered merged output differs from single-process run")
 	}
-	if st := co2.Stats(); st.Recovered != done1 {
+	if st := runStats(co2); st.Recovered != done1 {
 		t.Fatalf("recovered %d results from the WAL, want every accepted pre-kill result (%d)", st.Recovered, done1)
 	}
 	if runs.Load() != n {
@@ -206,8 +224,8 @@ func TestRestartSurvivesMissingBalanceSource(t *testing.T) {
 
 	state := t.TempDir()
 	ctx1, kill := context.WithCancel(context.Background())
-	_, url, out1 := startCoordinator(t, buildFromSpec(t, sp), sp,
-		CoordinatorConfig{StateDir: state, PlannerName: "balance:" + timing, LeaseTTL: time.Second},
+	_, url, out1 := startRunner(t, buildFromSpec(t, sp),
+		service.Config{StateDir: state, LeaseTTL: time.Second}, "balance:"+timing,
 		campaign.Options{Context: ctx1})
 	kill() // WAL header (with the balanced shard table) is already on disk
 	if res := <-out1; res.err == nil {
@@ -221,12 +239,12 @@ func TestRestartSurvivesMissingBalanceSource(t *testing.T) {
 
 	// Restart with the same flags must restore from the WAL, not
 	// re-resolve the planner.
-	co2, url2, out2 := startCoordinator(t, buildFromSpec(t, sp), sp,
-		CoordinatorConfig{Addr: hostPort(url), StateDir: state, PlannerName: "balance:" + timing, LeaseTTL: time.Second},
+	co2, url2, out2 := startRunner(t, buildFromSpec(t, sp),
+		service.Config{Addr: hostPort(url), StateDir: state, LeaseTTL: time.Second}, "balance:"+timing,
 		campaign.Options{})
 	wctx, wcancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer wcancel()
-	w := startWorker(t, WorkerConfig{Coordinator: url2, Name: "w", CheckpointDir: t.TempDir()}, wctx)
+	w := startWorker(t, cluster.WorkerConfig{Coordinator: url2, Name: "w", CheckpointDir: t.TempDir()}, wctx)
 	res := <-out2
 	if res.err != nil {
 		t.Fatalf("restart with missing balance source failed: %v", res.err)
@@ -237,29 +255,35 @@ func TestRestartSurvivesMissingBalanceSource(t *testing.T) {
 	if got, _ := campaign.MarshalResults(res.rr.Results); !bytes.Equal(got, want) {
 		t.Fatal("balanced restart merged output differs from single-process run")
 	}
-	if st := co2.Stats(); !st.Complete {
+	if st := runStats(co2); st.State != service.RunDone {
 		t.Fatalf("restarted stats: %+v", st)
 	}
 }
 
 // TestTornHeaderWALPlansFresh: a serve SIGKILLed before its journal
-// header durably landed leaves a 0-byte or newline-less wal.jsonl;
-// restarting with the same flags must plan fresh and overwrite instead
-// of failing until the operator deletes the state dir.
+// header durably landed leaves a run dir holding a 0-byte or
+// newline-less wal.jsonl (and, since admission writes status.json only
+// after the header, no status.json); restarting with the same flags
+// must plan fresh instead of failing until the operator deletes the
+// state dir.
 func TestTornHeaderWALPlansFresh(t *testing.T) {
 	const n = 8
 	sp := delayedSelftestSpec(n, 7, 0)
 	want := singleProcessWant(t, buildFromSpec(t, sp))
 	for name, torn := range map[string]string{"empty": "", "torn header": `{"header":{"version":1,"campaig`} {
 		state := t.TempDir()
-		if err := os.WriteFile(campaign.WALPath(state), []byte(torn), 0o644); err != nil {
+		killed := filepath.Join(state, "runs", "r1-0123abcd")
+		if err := os.MkdirAll(killed, 0o755); err != nil {
 			t.Fatal(err)
 		}
-		co, url, out := startCoordinator(t, buildFromSpec(t, sp), sp,
-			CoordinatorConfig{StateDir: state, LeaseTTL: time.Second},
+		if err := os.WriteFile(campaign.WALPath(killed), []byte(torn), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		co, url, out := startRunner(t, buildFromSpec(t, sp),
+			service.Config{StateDir: state, LeaseTTL: time.Second}, "",
 			campaign.Options{})
 		ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-		w := startWorker(t, WorkerConfig{Coordinator: url, Name: "w"}, ctx)
+		w := startWorker(t, cluster.WorkerConfig{Coordinator: url, Name: "w"}, ctx)
 		res := <-out
 		if res.err != nil {
 			t.Fatalf("%s WAL: restart did not plan fresh: %v", name, res.err)
@@ -270,33 +294,46 @@ func TestTornHeaderWALPlansFresh(t *testing.T) {
 		if got, _ := campaign.MarshalResults(res.rr.Results); !bytes.Equal(got, want) {
 			t.Fatalf("%s WAL: merged output differs from single-process run", name)
 		}
-		if st := co.Stats(); !st.Complete {
+		if st := runStats(co); st.State != service.RunDone {
 			t.Fatalf("%s WAL: stats %+v", name, st)
 		}
-		// The overwritten journal is a complete, readable record now.
-		if _, rs, _, err := campaign.ReadWAL(campaign.WALPath(state)); err != nil || !campaign.Complete(rs, n) {
+		// The fresh journal is a complete, readable record now, and the
+		// torn one is gone.
+		wals := walPaths(t, state)
+		if len(wals) != 1 {
+			t.Fatalf("%s WAL: %d run journals after the restart, want 1", name, len(wals))
+		}
+		if _, rs, _, err := campaign.ReadWAL(wals[0]); err != nil || !campaign.Complete(rs, n) {
 			t.Fatalf("%s WAL: rewritten journal unreadable or incomplete: %v", name, err)
 		}
 		cancel()
 	}
 }
 
-// TestStateDirDoubleServeRefused: a second coordinator on a live state
-// dir must be refused up front — two journal writers would interleave
-// records and double-serve the campaign.
+// TestStateDirDoubleServeRefused: a second control plane on a live
+// state dir must be refused up front — two journal writers would
+// interleave records and double-serve the campaign.
 func TestStateDirDoubleServeRefused(t *testing.T) {
 	state := t.TempDir()
 	sp := delayedSelftestSpec(12, 7, 0)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	_, _, out := startCoordinator(t, buildFromSpec(t, sp), sp,
-		CoordinatorConfig{StateDir: state, LeaseTTL: time.Second},
+	_, _, out := startRunner(t, buildFromSpec(t, sp),
+		service.Config{StateDir: state, LeaseTTL: time.Second}, "",
 		campaign.Options{Context: ctx})
 
-	co2 := NewCoordinator(CoordinatorConfig{
-		Addr: "127.0.0.1:0", Spec: sp, StateDir: state, Linger: 50 * time.Millisecond,
-	})
-	_, err := campaign.Run(buildFromSpec(t, sp), campaign.Options{Runner: co2})
+	// serveOnce serves the campaign on state through a fresh Runner
+	// under ctx, the way a second `campaign serve -state` would.
+	serveOnce := func(ctx context.Context) error {
+		rn, err := service.NewRunner(service.Config{Addr: "127.0.0.1:0", Token: testToken, StateDir: state}, "")
+		if err != nil {
+			return err
+		}
+		_, err = campaign.Run(buildFromSpec(t, sp), campaign.Options{Runner: rn, Context: ctx})
+		rn.Close()
+		return err
+	}
+	err := serveOnce(context.Background())
 	if err == nil || !strings.Contains(err.Error(), "already served by another coordinator") {
 		t.Fatalf("second coordinator on a live state dir accepted: %v", err)
 	}
@@ -306,37 +343,35 @@ func TestStateDirDoubleServeRefused(t *testing.T) {
 	}
 
 	// With the first coordinator gone, the lock is free again.
-	co3 := NewCoordinator(CoordinatorConfig{
-		Addr: "127.0.0.1:0", Spec: sp, StateDir: state, Linger: 50 * time.Millisecond,
-	})
 	ctx3, cancel3 := context.WithCancel(context.Background())
 	cancel3()
-	if _, err := campaign.Run(buildFromSpec(t, sp), campaign.Options{Runner: co3, Context: ctx3}); err == nil ||
-		strings.Contains(err.Error(), "already served") {
+	if err := serveOnce(ctx3); err == nil || strings.Contains(err.Error(), "already served") {
 		t.Fatalf("lock not released after the first coordinator exited: %v", err)
 	}
 }
 
-// TestStateDirSpecMismatchRefused: a restarted coordinator must refuse
-// a state dir journaled by a different experiment instead of quietly
-// mixing runs.
+// TestStateDirSpecMismatchRefused: a restarted control plane must
+// refuse a state dir journaling a different experiment in flight
+// instead of quietly mixing runs.
 func TestStateDirSpecMismatchRefused(t *testing.T) {
 	state := t.TempDir()
 	ctx, cancel := context.WithCancel(context.Background())
 	sp := delayedSelftestSpec(12, 7, 0)
-	_, _, out := startCoordinator(t, buildFromSpec(t, sp), sp,
-		CoordinatorConfig{StateDir: state, LeaseTTL: time.Second},
+	_, _, out := startRunner(t, buildFromSpec(t, sp),
+		service.Config{StateDir: state, LeaseTTL: time.Second}, "",
 		campaign.Options{Context: ctx})
-	cancel() // no workers; the WAL header is written at Run start
+	cancel() // no workers; the WAL header is written at admission
 	if res := <-out; res.err == nil {
 		t.Fatal("cancelled coordinator run should report cancellation")
 	}
 
 	other := delayedSelftestSpec(30, 7, 0)
-	co := NewCoordinator(CoordinatorConfig{
-		Addr: "127.0.0.1:0", Spec: other, StateDir: state, Linger: 50 * time.Millisecond,
-	})
-	_, err := campaign.Run(buildFromSpec(t, other), campaign.Options{Runner: co})
+	rn, err := service.NewRunner(service.Config{Addr: "127.0.0.1:0", Token: testToken, StateDir: state}, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rn.Close()
+	_, err = campaign.Run(buildFromSpec(t, other), campaign.Options{Runner: rn})
 	if err == nil || !strings.Contains(err.Error(), "journals spec") {
 		t.Fatalf("mismatched state dir accepted: %v", err)
 	}

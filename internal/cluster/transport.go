@@ -16,8 +16,8 @@ import (
 const MaxBodyBytes = 64 << 20
 
 // client is the worker side of the wire protocol. A non-empty token is
-// sent as a bearer credential on every request (campaign services
-// require one; single-run coordinators ignore it). A non-empty caFile
+// sent as a bearer credential on every request (the control plane
+// requires one). A non-empty caFile
 // makes HTTPS connections verify against that CA bundle instead of the
 // system roots; a bundle that fails to load is surfaced on every call
 // rather than at construction, so NewWorker stays infallible.

@@ -179,7 +179,7 @@ func EvaluateModelFaulty(model *snn.Model, arr *systolic.Array, fm faults.FaultM
 // BaselineConfig controls baseline (fault-free) training. Zero values
 // select the paper's defaults: batch 16, LR 0.02, gradient clip 5, a
 // single training lane on the process-default engine, and silence
-// (install a Hooks.Progress printer to observe the loss curve).
+// (install a Hooks.AfterEpoch printer to observe the loss curve).
 type BaselineConfig struct {
 	// Epochs is the training budget.
 	Epochs int

@@ -8,7 +8,6 @@ import (
 	"sort"
 
 	"falvolt/internal/campaign"
-	"falvolt/internal/cluster"
 	"falvolt/internal/spec"
 )
 
@@ -30,6 +29,11 @@ const (
 
 // run is one catalog entry: an admitted spec, its scheduling state, and
 // its durability hooks. All fields are guarded by the service mutex.
+//
+// A run is either submitted (POST /v1/runs: the catalog keeps its
+// results and serves them once done) or served (Runner.Run: the
+// calling process keeps them). Both deliver every result through sink,
+// exactly once, before journaling it.
 type run struct {
 	id       string
 	seq      int
@@ -43,11 +47,17 @@ type run struct {
 
 	state   string
 	failure string
+	served  bool
+	// detached marks an in-flight served run with no caller attached
+	// (interrupted, or recovered after a restart): it is not scheduled
+	// and refuses results until a caller attaches again.
+	detached bool
 
 	// Execution state; nil/empty for terminal runs loaded at recovery.
-	built      *spec.Built
-	info       cluster.CampaignInfo
-	trials     []campaign.Trial
+	c          campaign.Campaign
+	sink       func(campaign.Result) error
+	total      int              // the campaign's full trial count
+	trials     []campaign.Trial // the trials this run covers
 	shards     []*shardState
 	trialShard map[int]int // trial ID -> shard index
 	recorded   map[int][]byte
@@ -59,10 +69,10 @@ type run struct {
 	deficit    float64
 	recovered  int
 	reassigned int
+	loadedDone int // status.json's result count, for terminal runs loaded at recovery
 }
 
-// shardState is one shard's scheduling state (the per-run analogue of
-// the single-run coordinator's table).
+// shardState is one shard's scheduling state.
 type shardState struct {
 	label     string
 	trials    []campaign.Trial
@@ -73,13 +83,53 @@ type shardState struct {
 // terminal reports whether the run reached a final state.
 func (r *run) terminal() bool { return r.state != RunRunning }
 
+// schedulable reports whether the scheduler may lease the run's shards.
+func (r *run) schedulable() bool { return r.state == RunRunning && !r.detached }
+
+// catalogSink is a submitted run's sink: the catalog keeps the results
+// (results.jsonl at completion, the cross-run timing model).
+func (r *run) catalogSink(res campaign.Result) error {
+	r.results = append(r.results, res)
+	return nil
+}
+
+// setCampaign binds the run to its campaign and canonical spec,
+// deriving fingerprint and identity, and returns the campaign's trials.
+func (r *run) setCampaign(c campaign.Campaign, canonical []byte) ([]campaign.Trial, error) {
+	var sp spec.Spec
+	if err := json.Unmarshal(canonical, &sp); err != nil {
+		return nil, fmt.Errorf("service: decode canonical spec: %w", err)
+	}
+	fp, err := sp.Fingerprint()
+	if err != nil {
+		return nil, err
+	}
+	trials, err := c.Trials()
+	if err != nil {
+		return nil, err
+	}
+	r.c, r.specJSON, r.fp, r.total = c, canonical, fp, len(trials)
+	if r.kind == "" {
+		r.kind = sp.Kind
+	}
+	return trials, nil
+}
+
+// journalLease appends a lease lifecycle event to the run's WAL (no-op
+// while the journal is closed or being replayed).
+func (r *run) journalLease(event, id string) {
+	if r.wal != nil {
+		r.wal.AppendLease(campaign.WALLease{Event: event, ID: id})
+	}
+}
+
 // doneCount is the number of recorded results (terminal runs loaded
-// from disk keep it in len(results)).
+// from disk report the count their status.json recorded).
 func (r *run) doneCount() int {
 	if r.recorded != nil {
 		return len(r.recorded)
 	}
-	return len(r.results)
+	return r.loadedDone
 }
 
 // summary renders the run's catalog entry.
@@ -87,7 +137,7 @@ func (r *run) summary() RunSummary {
 	return RunSummary{
 		ID: r.id, Name: r.name, Labels: r.labels, Kind: r.kind,
 		Fingerprint: r.fp, Priority: r.priority, State: r.state,
-		Failure: r.failure, Trials: r.info.Trials, Done: r.doneCount(),
+		Failure: r.failure, Trials: r.total, Done: r.doneCount(),
 		Shards: len(r.shards), Recovered: r.recovered,
 		Reassigned: r.reassigned, Planner: r.planner,
 	}
@@ -109,6 +159,9 @@ type runStatus struct {
 	State       string            `json:"state"`
 	Failure     string            `json:"failure,omitempty"`
 	Done        int               `json:"done"`
+	// Served marks a run admitted by a Runner: its caller holds the
+	// results, and after a restart it waits for that caller to attach.
+	Served bool `json:"served,omitempty"`
 }
 
 // writeStatus persists the run's catalog state atomically: a crash
@@ -118,8 +171,8 @@ func (r *run) writeStatus() error {
 	st := runStatus{
 		ID: r.id, Seq: r.seq, Name: r.name, Labels: r.labels,
 		Kind: r.kind, Fingerprint: r.fp, Priority: r.priority,
-		Trials: r.info.Trials, State: r.state, Failure: r.failure,
-		Done: r.doneCount(),
+		Trials: r.total, State: r.state, Failure: r.failure,
+		Done: r.doneCount(), Served: r.served,
 	}
 	b, err := json.MarshalIndent(st, "", "  ")
 	if err != nil {

@@ -47,19 +47,32 @@ func NewClientTLS(base, token, caFile string) (*Client, error) {
 }
 
 // do sends one request and decodes the JSON response into out (skipped
-// when out is nil). Non-2xx responses surface the server's message.
+// when out is nil).
 func (c *Client) do(method, path string, in, out any) error {
+	data, err := c.raw(method, path, in)
+	if err != nil || out == nil {
+		return err
+	}
+	if err := json.Unmarshal(data, out); err != nil {
+		return fmt.Errorf("service: decode %s response: %w", path, err)
+	}
+	return nil
+}
+
+// raw sends one request (in JSON-encoded when non-nil) and returns the
+// response body. Non-2xx responses surface the server's message.
+func (c *Client) raw(method, path string, in any) ([]byte, error) {
 	var body io.Reader
 	if in != nil {
 		b, err := json.Marshal(in)
 		if err != nil {
-			return fmt.Errorf("service: marshal %s request: %w", path, err)
+			return nil, fmt.Errorf("service: marshal %s request: %w", path, err)
 		}
 		body = bytes.NewReader(b)
 	}
 	req, err := http.NewRequest(method, c.base+path, body)
 	if err != nil {
-		return fmt.Errorf("service: %s: %w", path, err)
+		return nil, fmt.Errorf("service: %s: %w", path, err)
 	}
 	if in != nil {
 		req.Header.Set("Content-Type", "application/json")
@@ -67,12 +80,12 @@ func (c *Client) do(method, path string, in, out any) error {
 	req.Header.Set("Authorization", "Bearer "+c.token)
 	resp, err := c.hc.Do(req)
 	if err != nil {
-		return fmt.Errorf("service: %s: %w", path, err)
+		return nil, fmt.Errorf("service: %s: %w", path, err)
 	}
 	defer resp.Body.Close()
 	data, err := io.ReadAll(resp.Body)
 	if err != nil {
-		return fmt.Errorf("service: read %s response: %w", path, err)
+		return nil, fmt.Errorf("service: read %s response: %w", path, err)
 	}
 	if resp.StatusCode != http.StatusOK {
 		var e struct {
@@ -80,17 +93,11 @@ func (c *Client) do(method, path string, in, out any) error {
 		}
 		json.Unmarshal(data, &e)
 		if e.Error != "" {
-			return fmt.Errorf("service: %s: %s (HTTP %d)", path, e.Error, resp.StatusCode)
+			return nil, fmt.Errorf("service: %s: %s (HTTP %d)", path, e.Error, resp.StatusCode)
 		}
-		return fmt.Errorf("service: %s: HTTP %d", path, resp.StatusCode)
+		return nil, fmt.Errorf("service: %s: HTTP %d", path, resp.StatusCode)
 	}
-	if out == nil {
-		return nil
-	}
-	if err := json.Unmarshal(data, out); err != nil {
-		return fmt.Errorf("service: decode %s response: %w", path, err)
-	}
-	return nil
+	return data, nil
 }
 
 // Submit enqueues a spec and returns the admitted run.
@@ -130,31 +137,7 @@ func (c *Client) Watch(id string) (RunSummary, error) {
 // Results fetches a completed run's checkpoint JSONL (header plus
 // results sorted by trial ID) — mergeable like any shard file.
 func (c *Client) Results(id string) ([]byte, error) {
-	req, err := http.NewRequest("GET", c.base+"/v1/runs/"+url.PathEscape(id)+"/results", nil)
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Authorization", "Bearer "+c.token)
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return nil, fmt.Errorf("service: fetch results: %w", err)
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, fmt.Errorf("service: read results: %w", err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		var e struct {
-			Error string `json:"error"`
-		}
-		json.Unmarshal(data, &e)
-		if e.Error != "" {
-			return nil, fmt.Errorf("service: fetch results: %s (HTTP %d)", e.Error, resp.StatusCode)
-		}
-		return nil, fmt.Errorf("service: fetch results: HTTP %d", resp.StatusCode)
-	}
-	return data, nil
+	return c.raw("GET", "/v1/runs/"+url.PathEscape(id)+"/results", nil)
 }
 
 // Cancel cancels a run (idempotent) and returns its summary.

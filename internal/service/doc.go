@@ -1,42 +1,49 @@
-// Package service is the campaign-as-a-service layer: one long-lived,
-// multi-tenant coordinator that multiplexes MANY concurrent experiment
-// runs over a single shared worker fleet, where internal/cluster's
-// Coordinator serves exactly one campaign and then exits.
+// Package service is the one control plane of distributed campaigns: a
+// run catalog that multiplexes any number of experiment runs over a
+// single shared worker fleet. It serves both ways a campaign reaches a
+// fleet:
 //
-// The split of responsibilities between the two layers:
+//   - submitted runs — `campaign service` is a long-lived Service whose
+//     catalog accepts specs over HTTP (submit/list/get/watch/cancel);
+//     the catalog keeps each run's results and serves them when done;
+//   - served runs — a CLI (`campaign serve`, `yield -coordinator`,
+//     `experiments -coordinator`) starts a Runner, a Service inside its
+//     own process that implements campaign.Runner: each Run admits the
+//     caller's pending trials as a run whose results go to the caller's
+//     sink, and blocks until the run is over. One Runner serves every
+//     campaign of the CLI to the same fleet; Close tells the fleet the
+//     queue is closed.
 //
-//   - internal/cluster owns the mechanics of distributed execution: the
-//     wire protocol (register/lease/heartbeat/results), the generic
-//     lease table with heartbeat-renewed deadlines, the worker daemon
-//     (local shard checkpoints, error taxonomy, resume), and the
-//     single-run Coordinator that drops in as a campaign.Runner.
-//   - internal/service owns multi-tenancy policy on top of those
-//     mechanics: the run catalog (submit/list/get/watch/cancel, with
-//     spec.Spec Name/Labels annotations), per-run durability, the
-//     cross-run fair-share scheduler, admission-time re-planning, the
-//     autoscaling hooks, and bearer-token auth. It reuses — not forks —
-//     cluster's LeaseTable, protocol types and HTTP helpers, and
-//     campaign's WAL.
+// The split with internal/cluster: cluster owns the mechanics every
+// fleet needs whatever its policy — the wire protocol, the generic
+// lease table, the HTTP/TLS helpers and the worker daemon. This
+// package owns the policy: the catalog, durability, scheduling,
+// planning, the autoscaling hooks and auth.
 //
 // # Run catalog and durability
 //
-// Each submitted spec becomes a run: "r<seq>-<fingerprint[:8]>", with
-// its own state directory <StateDir>/runs/<runID>/ holding
+// Every run is "r<seq>-<fingerprint[:8]>" with its own directory
+// <StateDir>/runs/<runID>/ holding wal.jsonl (the campaign.WAL: spec,
+// shard table, lease lifecycle, every accepted result — written first
+// at admission, so a directory without status.json is an admission
+// killed midway and is removed on restart), status.json (catalog
+// metadata and state, rewritten atomically on every transition) and,
+// for a completed submitted run, results.jsonl (a complete checkpoint
+// that `campaign merge` consumes and that merges byte-identically to a
+// single-process run; a served run's results live in its caller's
+// checkpoint instead).
 //
-//   - status.json — catalog metadata (name, labels, priority, state),
-//     rewritten atomically on every state transition, so a restarted
-//     service can list terminal runs without replaying anything;
-//   - wal.jsonl — the same coordinator WAL internal/cluster journals
-//     (shard table, lease lifecycle, every accepted result), so restart
-//     recovery for an in-flight run is exactly PR 5's replay, per run;
-//   - results.jsonl — written atomically when the run completes: a
-//     complete, ordinary checkpoint (header + results sorted by trial
-//     ID) that `campaign merge` consumes like any shard file, and that
-//     merges byte-identically to a single-process execution.
-//
-// A SIGKILLed service restarted on the same StateDir replays every
-// in-flight run's WAL, invalidates the leases that were open at the
-// crash, and carries on; workers re-register and resume from their
+// Every result goes to its run's sink first and is journaled after, so
+// "in the WAL" means "delivered". One restore path replays a journal
+// over the trials it must cover: a restarted service replays each
+// in-flight submitted run over all its trials, while a served run
+// waits for its caller — a restarted CLI on the same -state — to attach
+// with the same experiment, and is replayed over the trials the
+// caller's checkpoint still lacks, re-delivering journaled results the
+// caller lost. A state dir whose in-flight served run is a different
+// experiment, a shard table that no longer covers a pending trial, and
+// a second process on the same state dir are refused. Open leases are
+// invalidated on restore; workers re-register and resume from their
 // local per-(run, shard) checkpoints, so completed trials never re-run.
 //
 // # Scheduling
@@ -48,12 +55,14 @@
 // credited equally to every contender — keeps long-term shard grants
 // fair however uneven the shard sizes are.
 //
-// Plans are revisited at run-admission boundaries: every admission
-// recomputes campaign.TimingByKey over all recorded results and feeds
-// it through the campaign.Planner seam (BalancedPlanner), both for the
-// new run and to re-plan any running run that currently has no leases
-// outstanding; each re-plan is journaled as a WAL plan record so replay
-// restores the table actually in force.
+// Plans are made at admission: a served run is planned by its Runner's
+// policy (uniform, or balanced from a -balance timing source), a
+// submitted run from the wall-clock timing accumulated across the
+// catalog's results (campaign.TimingByKey through the campaign.Planner
+// seam). Each admission also re-plans any running run that currently
+// has no leases outstanding against that timing; each re-plan is
+// journaled as a WAL plan record so replay restores the table actually
+// in force.
 //
 // # Autoscaling hooks
 //
@@ -68,5 +77,6 @@
 //
 // Every endpoint — worker protocol and catalog alike — requires the
 // service's bearer token ("Authorization: Bearer <token>"), compared in
-// constant time. A service refuses to start without one.
+// constant time. A service refuses to start without one; the CLIs read
+// it from $CAMPAIGN_TOKEN.
 package service

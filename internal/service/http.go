@@ -70,7 +70,6 @@ func (s *Service) handleRegister(w http.ResponseWriter, r *http.Request) {
 	cluster.WriteJSON(w, cluster.RegisterResponse{
 		WorkerID:       id,
 		LeaseTTLMillis: s.cfg.LeaseTTL.Milliseconds(),
-		Service:        true,
 	})
 }
 
@@ -100,6 +99,10 @@ func (s *Service) handleLease(w http.ResponseWriter, r *http.Request) {
 	}
 	ws := s.workerSeen(w, req.WorkerID)
 	if ws == nil {
+		return
+	}
+	if s.queueClosed {
+		cluster.WriteJSON(w, s.closedAnswerLocked())
 		return
 	}
 	s.sweepLocked()
@@ -154,7 +157,6 @@ func (s *Service) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	}
 	cluster.WriteJSON(w, cluster.HeartbeatResponse{
 		OK:      s.leases.Renew(req.LeaseID),
-		Status:  cluster.StatusWait,
 		Drain:   ws.drain,
 		ScaleUp: s.scaleUpLocked(),
 	})
@@ -182,6 +184,13 @@ func (s *Service) handleResults(w http.ResponseWriter, r *http.Request) {
 		cluster.WriteJSON(w, cluster.ResultsResponse{OK: true})
 		return
 	}
+	if run.detached {
+		// No caller is attached to take delivery. The worker keeps the
+		// results in its local checkpoint and streams them again once
+		// the run resumes.
+		cluster.WriteJSONError(w, http.StatusServiceUnavailable, fmt.Sprintf("run %s has no caller attached", run.id))
+		return
+	}
 	if req.TrialErr != "" {
 		s.failRunLocked(run, fmt.Sprintf("worker %s: %s", req.WorkerID, req.TrialErr))
 		cluster.WriteJSON(w, cluster.ResultsResponse{OK: true})
@@ -202,12 +211,7 @@ func (s *Service) handleResults(w http.ResponseWriter, r *http.Request) {
 func (s *Service) handleStatus(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	cluster.WriteJSON(w, ServiceStatus{
-		Runs:       s.runSummariesLocked(),
-		Workers:    len(s.workers),
-		OpenShards: s.openShardsLocked(),
-		ScaleUp:    s.scaleUpLocked(),
-	})
+	cluster.WriteJSON(w, s.statusLocked())
 }
 
 func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {

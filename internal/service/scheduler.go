@@ -54,7 +54,7 @@ func (s *Service) pickLocked() (*run, int) {
 	shard := make(map[string]int)
 	for _, id := range s.order {
 		r := s.runs[id]
-		if r.state != RunRunning {
+		if !r.schedulable() {
 			continue
 		}
 		i := s.freeShardLocked(r)
@@ -95,7 +95,7 @@ func (s *Service) pickLocked() (*run, int) {
 func (s *Service) openShardsLocked() int {
 	n := 0
 	for _, r := range s.runs {
-		if r.state != RunRunning {
+		if !r.schedulable() {
 			continue
 		}
 		for i, st := range r.shards {

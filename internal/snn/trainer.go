@@ -125,16 +125,14 @@ func (p *batchPool) buf(t int, frameShape []int, rows int) *tensor.Tensor {
 
 // TrainHooks collects the training loop's observation callbacks. Every
 // hook runs on the caller's goroutine between optimizer steps; nil hooks
-// are skipped, so the zero value trains silently (library default — cmd
-// tools install a Progress printer).
+// are skipped, so the zero value trains silently (library default — a
+// caller that wants a loss curve installs an AfterEpoch printer).
 type TrainHooks struct {
-	// Progress reports the mean training loss at the end of each epoch.
-	Progress func(epoch int, loss float64)
 	// AfterStep runs after each optimizer step (e.g. to re-apply prune
 	// masks to the shared weights).
 	AfterStep func()
-	// AfterEpoch runs at the end of each epoch with the mean train loss;
-	// Algorithm 1 re-applies the prune mask here.
+	// AfterEpoch runs at the end of each epoch with the mean train loss:
+	// progress reporting, and Algorithm 1 re-applies the prune mask here.
 	AfterEpoch func(epoch int, trainLoss float64)
 }
 
@@ -411,9 +409,6 @@ func trainReplicas(net *Network, samples []Sample, cfg TrainConfig) (float64, er
 		lastLoss = epochLoss / float64(batches)
 		if cfg.Hooks.AfterEpoch != nil {
 			cfg.Hooks.AfterEpoch(epoch, lastLoss)
-		}
-		if cfg.Hooks.Progress != nil {
-			cfg.Hooks.Progress(epoch, lastLoss)
 		}
 	}
 	return lastLoss, nil

@@ -5,10 +5,10 @@
 // mitigation method, the seeds — plus execution placement (backend,
 // shard). Every cmd tool compiles its flags into a Spec (and accepts
 // -spec / -dump-spec to round-trip it), a registry turns a Spec into a
-// runnable campaign.Campaign in exactly one place per kind, and cluster
-// coordinators ship their canonical Spec to workers at registration, so
-// a worker cannot be misconfigured: it builds from the bytes it was
-// handed, not from flags that happen to match.
+// runnable campaign.Campaign in exactly one place per kind, and the
+// distributed control plane ships each run's canonical Spec to workers
+// in lease grants, so a worker cannot be misconfigured: it builds from
+// the bytes it was handed, not from flags that happen to match.
 //
 // The canonical form — Canonical() — is the Spec's identity: execution
 // placement (Backend, Shard) is cleared, and the remaining fields
